@@ -289,11 +289,7 @@ func (s *Session) candidateRows(p *plan.SelectPlan, t *Table) ([]int, bool) {
 				return nil, false
 			}
 		}
-		ix := t.ic.eqIndex(t, p.KeyCols)
-		if ix == nil {
-			return nil, false
-		}
-		return ix.lookup(keys), true
+		return t.ic.eqLookup(t, p.KeyCols, keys)
 	case plan.RangeScan:
 		var lo, hi int64
 		haveLo, haveHi := false, false

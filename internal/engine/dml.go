@@ -75,14 +75,6 @@ func (s *Session) dmlEqCandidates(t *Table, where ast.Expr) ([]int, bool) {
 	if len(cols) == 0 {
 		return nil, false
 	}
-	// Canonical column order keys the index cache consistently across
-	// textual conjunct orderings.
-	for i := 1; i < len(cols); i++ {
-		for j := i; j > 0 && cols[j] < cols[j-1]; j-- {
-			cols[j], cols[j-1] = cols[j-1], cols[j]
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
 	keys := make([]int64, len(cols))
 	for i, vx := range vals {
 		v, err := s.evalExpr(vx, nil)
@@ -99,11 +91,7 @@ func (s *Session) dmlEqCandidates(t *Table, where ast.Expr) ([]int, bool) {
 			return nil, false
 		}
 	}
-	ix := t.ic.eqIndex(t, cols)
-	if ix == nil {
-		return nil, false
-	}
-	return ix.lookup(keys), true
+	return t.ic.eqLookup(t, cols, keys)
 }
 
 func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
@@ -159,7 +147,7 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 			undoPartial()
 			return nil, err
 		}
-		if err := e.checkConstraints(t, row, -1); err != nil {
+		if err := e.checkConstraints(t, row, -1, nil); err != nil {
 			undoPartial()
 			return nil, err
 		}
@@ -288,8 +276,9 @@ func (e *Session) buildRow(t *Table, targets []int, src []types.Value) ([]types.
 }
 
 // checkConstraints verifies PK/UNIQUE/CHECK for a candidate row. skipIdx
-// excludes one row position (the row being updated), -1 for inserts.
-func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int) error {
+// excludes one row position (the row being updated), -1 for inserts;
+// setCols lists the columns the UPDATE sets (nil for inserts).
+func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int, setCols []int) error {
 	keysets := make([][]int, 0, 1+len(t.Uniques))
 	if len(t.PKCols) > 0 {
 		keysets = append(keysets, t.PKCols)
@@ -310,24 +299,27 @@ func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int) err
 		if !allSet {
 			continue // NULLs never collide under UNIQUE
 		}
-		// Fast path, inserts only: when the candidate key is all-INT,
-		// probe the lazily maintained equality index instead of
-		// scanning. The index extends incrementally over appended rows
-		// (index.go), so a run of inserts pays O(1) amortized per
-		// duplicate check instead of O(table) — the difference between
-		// linear and quadratic load cost on append-heavy tables. A
-		// poisoned index (non-INT value in a key column somewhere in
-		// the table) falls back to the scan, as does a non-INT
-		// candidate. Updates always scan: mid-statement the index is
-		// stale (rows already replaced in place are invalidated only at
-		// statement end), so a probe could see replaced key values.
-		if allInt && skipIdx == -1 {
-			if ix := t.ic.eqIndex(t, key); ix != nil {
-				keys := make([]int64, len(key))
-				for i, ci := range key {
-					keys[i] = row[ci].I
-				}
-				for _, ri := range ix.lookup(keys) {
+		// Fast path: when the candidate key is all-INT and the
+		// statement sets none of the key's columns (always true for an
+		// insert), probe the lazily maintained equality index instead
+		// of scanning. Inserts extend the index incrementally
+		// (index.go), so a run of them pays O(1) amortized per check
+		// instead of O(table). A key-stable UPDATE can trust the index
+		// mid-statement: each replacement bumps only the SET columns'
+		// versions and never moves a position, so the key's index stays
+		// exact while earlier rows of the same statement are replaced.
+		// Any matching position other than skipIdx is a duplicate —
+		// the scan's verdict, even on a table already carrying
+		// duplicates. A keyset the statement sets, a non-INT candidate
+		// and a poisoned index (non-INT value in a key column somewhere
+		// in the table) fall back to the scan.
+		if allInt && !sharesCol(key, setCols) {
+			keys := make([]int64, len(key))
+			for i, ci := range key {
+				keys[i] = row[ci].I
+			}
+			if hits, ok := t.ic.eqLookup(t, key, keys); ok {
+				for _, ri := range hits {
 					if ri != skipIdx {
 						return fmt.Errorf("%w: duplicate key in table %s", ErrConstraint, t.Name)
 					}
@@ -362,6 +354,18 @@ func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int) err
 		}
 	}
 	return nil
+}
+
+// sharesCol reports whether the two column ordinal lists intersect.
+func sharesCol(a, b []int) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if x == y {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func tableScopeCols(t *Table) []scopeCol {
@@ -467,7 +471,7 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 			}
 			newRow[setIdx[i]] = cv
 		}
-		if err := e.checkConstraints(t, newRow, ri); err != nil {
+		if err := e.checkConstraints(t, newRow, ri, setIdx); err != nil {
 			return err
 		}
 		if len(changes) == 0 && t.rowsShared {

@@ -141,10 +141,37 @@ func encodeIntKeys(dst []byte, keys []int64) []byte {
 	return dst
 }
 
+// eqLookup is the one entry point for equality probes: it returns the
+// row positions, in table order, whose key columns cols equal keys
+// (parallel to cols), or ok=false when the index is poisoned and only a
+// scan is sound. The columns are put in ascending ordinal order first
+// (keys permuted alongside), so every caller — compiled point lookups,
+// DML candidate narrowing, uniqueness checks — shares one index per
+// column set whatever order it names the columns in. Neither input is
+// modified. Locking as for eqIndex.
+func (ic *indexCache) eqLookup(t *Table, cols []int, keys []int64) (_ []int, ok bool) {
+	if !sort.IntsAreSorted(cols) {
+		cols = append([]int(nil), cols...)
+		keys = append([]int64(nil), keys...)
+		for i := 1; i < len(cols); i++ {
+			for j := i; j > 0 && cols[j] < cols[j-1]; j-- {
+				cols[j], cols[j-1] = cols[j-1], cols[j]
+				keys[j], keys[j-1] = keys[j-1], keys[j]
+			}
+		}
+	}
+	ix := ic.eqIndex(t, cols)
+	if ix == nil {
+		return nil, false
+	}
+	return ix.lookup(keys), true
+}
+
 // eqIndex returns the equality index over cols, building or extending
 // it as needed; nil when a covered row poisons the column set. Callers
 // hold the engine lock (either mode); the cache mutex serializes
 // concurrent builders, so one session builds and the rest reuse.
+// Callers go through eqLookup, which fixes the column order.
 func (ic *indexCache) eqIndex(t *Table, cols []int) *hashIndex {
 	key := colsetKey(cols)
 	base := t.baseSeq.Load()

@@ -9,7 +9,7 @@ import (
 	"divsql/internal/sql/parser"
 )
 
-func sexec(t *testing.T, s *Session, sql string) *Result {
+func sexec(t testing.TB, s *Session, sql string) *Result {
 	t.Helper()
 	st, err := parser.Parse(sql)
 	if err != nil {

@@ -109,7 +109,7 @@ func (s *Server) MetricsCollector() obs.Collector {
 				"Wire requests serviced, by frame type.", fs.reqs.Value(),
 				obs.L("frame", k))
 			f.Histo("divsql_wire_request_duration_seconds",
-				"End-to-end request latency (read to flush), by frame type.",
+				"End-to-end request latency (read to response ready), by frame type.",
 				fs.lat, obs.L("frame", k))
 		}
 		f.Gauge("divsql_wire_open_connections",

@@ -296,11 +296,13 @@ func (wc *wireConn) worker(ws *wireSession) {
 			}
 			buf.WriteString("OK 0 0 0 0\n.\n")
 		}
-		wc.write(buf.Bytes())
-		// The latency window is read-to-write: queueing, execution
+		// Record before writing: once the client holds the response, a
+		// METRICS frame it sends next must already count this request.
+		// The latency window is read to response ready: queueing, execution
 		// (adjudication included on a diverse endpoint) and response
 		// serialization.
 		wc.s.metrics.record(frame, time.Since(req.start))
+		wc.write(buf.Bytes())
 		if req.detach {
 			return
 		}
