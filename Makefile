@@ -6,7 +6,7 @@ GO  ?= go
 # Commit recorded in the benchmark artifact; CI passes the full SHA.
 SHA ?= $(shell git rev-parse --short HEAD)
 
-.PHONY: build test race smoke bench staticcheck
+.PHONY: build test race perfgate smoke bench staticcheck
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,13 @@ test: build
 
 race:
 	$(GO) test -race ./...
+
+# Wall-clock ratio gates (tests built with the perfgate tag). They
+# compare two timings from one process, so they run alone and serially:
+# under a parallel `go test ./...` other packages steal the CPU and the
+# ratio drifts below its bar.
+perfgate:
+	$(GO) test -p 1 -count=1 -tags perfgate -run TestBatchPipeliningSpeedup ./internal/wire/
 
 # Fault-free differential smoke: the generated common dialect subset
 # must agree with the oracle on every server; any finding exits 1.

@@ -344,44 +344,46 @@ func (s *Session) candidateRows(p *plan.SelectPlan, t *Table) ([]int, bool) {
 
 // filterCompiled evaluates the full WHERE predicate — over index
 // candidates when the plan has a usable access path, over every row
-// otherwise — returning the matching rows in table order.
-func (s *Session) filterCompiled(cs *compiledSelect, t *Table) ([][]types.Value, error) {
+// otherwise — returning the matching rows in table order. all reports a
+// WHERE-less full scan: every row matches, and rows is nil so the
+// caller walks t's pages itself instead of paying a copy of the table.
+func (s *Session) filterCompiled(cs *compiledSelect, t *Table) (rows [][]types.Value, all bool, err error) {
 	where := cs.sel.Where
 	sc := scope{cols: cs.cols}
 	if cs.p.Path != plan.FullScan {
 		if cands, indexed := s.candidateRows(cs.p, t); indexed {
 			var filtered [][]types.Value
 			for _, ri := range cands {
-				row := t.Rows[ri]
+				row := t.rows.at(ri)
 				sc.vals = row
 				v, err := s.evalExpr(where, &sc)
 				if err != nil {
-					return nil, err
+					return nil, false, err
 				}
 				if types.TruthOf(v) == types.True {
 					filtered = append(filtered, row)
 				}
 			}
-			return filtered, nil
+			return filtered, false, nil
 		}
 	}
 	if where == nil {
-		// Safe to share: result rows are built fresh by projection, and
-		// the slice is only read under the lock held for this statement.
-		return t.Rows, nil
+		return nil, true, nil
 	}
 	var filtered [][]types.Value
-	for _, row := range t.Rows {
-		sc.vals = row
-		v, err := s.evalExpr(where, &sc)
-		if err != nil {
-			return nil, err
-		}
-		if types.TruthOf(v) == types.True {
-			filtered = append(filtered, row)
+	for _, p := range t.rows.pages() {
+		for _, row := range p.rows {
+			sc.vals = row
+			v, err := s.evalExpr(where, &sc)
+			if err != nil {
+				return nil, false, err
+			}
+			if types.TruthOf(v) == types.True {
+				filtered = append(filtered, row)
+			}
 		}
 	}
-	return filtered, nil
+	return filtered, false, nil
 }
 
 // runCompiled executes a compiled SELECT. Caller holds the engine lock
@@ -398,12 +400,17 @@ func (s *Session) runCompiled(cs *compiledSelect) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, cs.p.Table)
 	}
-	filtered, err := s.filterCompiled(cs, t)
+	filtered, all, err := s.filterCompiled(cs, t)
 	if err != nil {
 		return nil, err
 	}
 	sel := cs.sel
 	if cs.grouped {
+		if all {
+			// Zero-copy for single-page tables; a global aggregate over a
+			// larger table reads one flattened row list.
+			filtered = t.rows.flat()
+		}
 		res, err := s.projectGrouped(sel, &relation{cols: cs.cols, rows: filtered}, nil)
 		if err != nil {
 			return nil, err
@@ -415,22 +422,14 @@ func (s *Session) runCompiled(cs *compiledSelect) (*Result, error) {
 		return nil, cs.projErr
 	}
 	res := &Result{Kind: ResultRows, Columns: append([]string(nil), cs.outCols...)}
-	sc := scope{cols: cs.cols}
-	for _, row := range filtered {
-		sc.vals = row
-		out := make([]types.Value, len(cs.projs))
-		for i, px := range cs.projs {
-			if px.star >= 0 {
-				out[i] = row[px.star]
-				continue
-			}
-			v, err := s.evalExpr(px.expr, &sc)
-			if err != nil {
+	if all {
+		for _, p := range t.rows.pages() {
+			if res.Rows, err = s.projectCompiled(cs, p.rows, res.Rows); err != nil {
 				return nil, err
 			}
-			out[i] = v
 		}
-		res.Rows = append(res.Rows, out)
+	} else if res.Rows, err = s.projectCompiled(cs, filtered, nil); err != nil {
+		return nil, err
 	}
 	if len(sel.OrderBy) > 0 {
 		visible := len(cs.outCols)
@@ -465,6 +464,28 @@ func (s *Session) runCompiled(cs *compiledSelect) (*Result, error) {
 	}
 	applyLimit(sel, res)
 	return res, nil
+}
+
+// projectCompiled appends the compiled projections of rows to dst.
+func (s *Session) projectCompiled(cs *compiledSelect, rows, dst [][]types.Value) ([][]types.Value, error) {
+	sc := scope{cols: cs.cols}
+	for _, row := range rows {
+		sc.vals = row
+		out := make([]types.Value, len(cs.projs))
+		for i, px := range cs.projs {
+			if px.star >= 0 {
+				out[i] = row[px.star]
+				continue
+			}
+			v, err := s.evalExpr(px.expr, &sc)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+		}
+		dst = append(dst, out)
+	}
+	return dst, nil
 }
 
 // execSelectRLocked is the read-lock SELECT fast path: probe the memo

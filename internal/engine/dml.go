@@ -125,16 +125,16 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 		}
 	}
 
-	inserted := 0
+	var added [][]types.Value
 	// Statement atomicity: a failure on any row unwinds the rows this
 	// statement already appended. Without this, a mid-statement error
 	// would leave rows that no undo record covers — ROLLBACK would keep
-	// them and Snapshot's committed-image rewind would leak them.
+	// them and Snapshot's committed-image rewind would leak them. The
+	// statement holds the table latch, so its rows are still the tail.
 	undoPartial := func() {
-		if inserted > 0 {
-			partial := make([][]types.Value, inserted)
-			copy(partial, t.Rows[len(t.Rows)-inserted:])
-			t.removeRowsByIdentity(partial)
+		if len(added) > 0 {
+			t.rows.truncate(t.rows.len() - len(added))
+			t.touchBase()
 		}
 	}
 	for _, src := range sourceRows {
@@ -151,16 +151,14 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 			undoPartial()
 			return nil, err
 		}
-		t.Rows = append(t.Rows, row)
-		inserted++
+		t.rows.push(row)
+		added = append(added, row)
 	}
-	if inserted > 0 {
+	if len(added) > 0 {
 		t.touch()
 		// Undo by row identity, not by position: other sessions'
 		// statements may land between this insert and a rollback, so
 		// truncating the tail could remove their rows instead of ours.
-		added := make([][]types.Value, inserted)
-		copy(added, t.Rows[len(t.Rows)-inserted:])
 		tname := t.Name
 		e.logUndoTable(tname, func(dst *state, _ bool) {
 			if dt, ok := dst.tables[tname]; ok {
@@ -168,7 +166,7 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 			}
 		})
 	}
-	return &Result{Kind: ResultCount, Affected: int64(inserted)}, nil
+	return &Result{Kind: ResultCount, Affected: int64(len(added))}, nil
 }
 
 // removeRowsByIdentity deletes the given row slices from the table,
@@ -182,18 +180,17 @@ func (t *Table) removeRowsByIdentity(rows [][]types.Value) {
 			drop[&r[0]] = true
 		}
 	}
-	// Rebuild into a fresh backing array: read views capture the live
-	// Rows slice header, so surviving rows must never shift in place
-	// beneath a published capture.
-	kept := make([][]types.Value, 0, len(t.Rows))
-	for _, r := range t.Rows {
-		if len(r) > 0 && drop[&r[0]] {
-			continue
+	var dels []int
+	for lo, n := 0, t.rows.len(); lo < n; {
+		rows := t.rows.chunk(lo, n)
+		for j, r := range rows {
+			if len(r) > 0 && drop[&r[0]] {
+				dels = append(dels, lo+j)
+			}
 		}
-		kept = append(kept, r)
+		lo += len(rows)
 	}
-	t.Rows = kept
-	t.rowsShared = false
+	t.rows.remove(dels)
 	t.touchBase()
 }
 
@@ -327,20 +324,24 @@ func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int, set
 				continue
 			}
 		}
-		for ri, existing := range t.Rows {
-			if ri == skipIdx {
-				continue
-			}
-			same := true
-			for _, ci := range key {
-				if !types.Identical(existing[ci], row[ci]) {
-					same = false
-					break
+		for lo, n := 0, t.rows.len(); lo < n; {
+			rows := t.rows.chunk(lo, n)
+			for j, existing := range rows {
+				if lo+j == skipIdx {
+					continue
+				}
+				same := true
+				for _, ci := range key {
+					if !types.Identical(existing[ci], row[ci]) {
+						same = false
+						break
+					}
+				}
+				if same {
+					return fmt.Errorf("%w: duplicate key in table %s", ErrConstraint, t.Name)
 				}
 			}
-			if same {
-				return fmt.Errorf("%w: duplicate key in table %s", ErrConstraint, t.Name)
-			}
+			lo += len(rows)
 		}
 	}
 	for _, chk := range t.Checks {
@@ -379,26 +380,30 @@ func tableScopeCols(t *Table) []scopeCol {
 // findDuplicate returns the index of a row that collides with another on
 // the given key columns, or -1.
 func (t *Table) findDuplicate(key []int) int {
-	seen := make(map[string]bool, len(t.Rows))
-	for ri, row := range t.Rows {
-		allSet := true
-		var kb []byte
-		for _, ci := range key {
-			if row[ci].IsNull() {
-				allSet = false
-				break
+	seen := make(map[string]bool, t.rows.len())
+	for lo, n := 0, t.rows.len(); lo < n; {
+		rows := t.rows.chunk(lo, n)
+		for j, row := range rows {
+			allSet := true
+			var kb []byte
+			for _, ci := range key {
+				if row[ci].IsNull() {
+					allSet = false
+					break
+				}
+				kb = append(kb, row[ci].String()...)
+				kb = append(kb, 0x1f)
 			}
-			kb = append(kb, row[ci].String()...)
-			kb = append(kb, 0x1f)
+			if !allSet {
+				continue
+			}
+			k := string(kb)
+			if seen[k] {
+				return lo + j
+			}
+			seen[k] = true
 		}
-		if !allSet {
-			continue
-		}
-		k := string(kb)
-		if seen[k] {
-			return ri
-		}
-		seen[k] = true
+		lo += len(rows)
 	}
 	return -1
 }
@@ -419,20 +424,17 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 	cols := tableScopeCols(t)
 	var affected int64
 	type change struct {
+		pos      int
 		old, new []types.Value
 	}
 	var changes []change
 	// Statement atomicity: a failure on any row swaps back the rows this
 	// statement already replaced (see execInsert for why partial effects
-	// must not survive an error).
+	// must not survive an error). The statement holds the table latch and
+	// replacements never move a row, so each change is still at pos.
 	undoPartial := func() {
 		for i := len(changes) - 1; i >= 0; i-- {
-			for ri, r := range t.Rows {
-				if sameRow(r, changes[i].new) {
-					t.Rows[ri] = changes[i].old
-					break
-				}
-			}
+			t.rows.set(changes[i].pos, changes[i].old)
 		}
 		if len(changes) > 0 {
 			t.bumpCols(setIdx)
@@ -474,17 +476,8 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 		if err := e.checkConstraints(t, newRow, ri, setIdx); err != nil {
 			return err
 		}
-		if len(changes) == 0 && t.rowsShared {
-			// Copy-on-write: while a read view holds a capture of the
-			// current Rows header, the first replacement installs a fresh
-			// backing array so the capture keeps a stable committed
-			// image. Unshared tables are written in place — the copy is
-			// O(table), which would otherwise tax every UPDATE.
-			t.Rows = append([][]types.Value(nil), t.Rows...)
-			t.rowsShared = false
-		}
-		changes = append(changes, change{old: row, new: newRow})
-		t.Rows[ri] = newRow
+		changes = append(changes, change{pos: ri, old: row, new: newRow})
+		t.rows.set(ri, newRow)
 		// Per-replacement version bump: only the SET columns' indexes
 		// invalidate (positions never move), and a subquery evaluated for
 		// a later row of this same statement sees the replacement.
@@ -499,17 +492,23 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 	// full scan would have visited and found WHERE-true.
 	if cands, narrowed := e.dmlEqCandidates(t, upd.Where); narrowed {
 		for _, ri := range cands {
-			if err := updateRow(ri, t.Rows[ri]); err != nil {
+			if err := updateRow(ri, t.rows.at(ri)); err != nil {
 				undoPartial()
 				return nil, err
 			}
 		}
 	} else {
-		for ri, row := range t.Rows {
-			if err := updateRow(ri, row); err != nil {
-				undoPartial()
-				return nil, err
+		// A replacement copies a shared page before writing it; the
+		// chunk being walked keeps the pre-statement rows either way.
+		for lo, n := 0, t.rows.len(); lo < n; {
+			rows := t.rows.chunk(lo, n)
+			for j, row := range rows {
+				if err := updateRow(lo+j, row); err != nil {
+					undoPartial()
+					return nil, err
+				}
 			}
+			lo += len(rows)
 		}
 	}
 	if len(changes) > 0 {
@@ -517,33 +516,30 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 		// sits and swap the original back. Positional restore would panic
 		// or clobber other sessions' rows if the table shifted between
 		// the update and the rollback; identity restore is a no-op for a
-		// row another session deleted meanwhile. One position map keeps
-		// the rollback linear in the table size.
+		// row another session deleted meanwhile. The update-time position
+		// is tried first; only when some replacement moved does one
+		// position map keep the rollback linear in the table size.
 		saved, tname := changes, t.Name
 		e.logUndoTable(tname, func(dst *state, _ bool) {
 			t, ok := dst.tables[tname]
 			if !ok {
 				return
 			}
-			// Copy-on-write for the same reason as the forward path: the
-			// swaps below must not reach into a captured row image.
-			if t.rowsShared {
-				t.Rows = append([][]types.Value(nil), t.Rows...)
-				t.rowsShared = false
-			}
-			pos := make(map[*types.Value]int, len(t.Rows))
-			for ri, r := range t.Rows {
-				if len(r) > 0 {
-					pos[&r[0]] = ri
-				}
-			}
+			var pos map[*types.Value]int
 			for i := len(saved) - 1; i >= 0; i-- {
 				ch := saved[i]
 				if len(ch.new) == 0 {
 					continue
 				}
+				if ch.pos < t.rows.len() && sameRow(t.rows.at(ch.pos), ch.new) {
+					t.rows.set(ch.pos, ch.old)
+					continue
+				}
+				if pos == nil {
+					pos = rowPositions(&t.rows)
+				}
 				if ri, ok := pos[&ch.new[0]]; ok {
-					t.Rows[ri] = ch.old
+					t.rows.set(ri, ch.old)
 				}
 			}
 			t.bumpCols(setIdx)
@@ -557,99 +553,120 @@ func (e *Session) execDelete(del *ast.Delete) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, del.Table)
 	}
-	cols := tableScopeCols(t)
-	kept := t.Rows[:0:0]
-	var removed [][]types.Value
-	var affected int64
-	oldRows := t.Rows
-	sc := &scope{cols: cols}
+	sc := &scope{cols: tableScopeCols(t)}
+	// dels collects the WHERE-true positions in ascending order; rows
+	// move only once every predicate has been evaluated.
+	var dels []int
 	if cands, narrowed := e.dmlEqCandidates(t, del.Where); narrowed {
 		// Candidate narrowing: rows outside the candidate set provably
 		// fail an equality conjunct and are kept without evaluating the
-		// predicate. An empty WHERE-true set short-circuits before any
-		// row movement.
-		del2 := make(map[int]bool, len(cands))
+		// predicate.
 		for _, ri := range cands {
-			sc.vals = t.Rows[ri]
+			sc.vals = t.rows.at(ri)
 			v, err := e.evalExpr(del.Where, sc)
 			if err != nil {
 				return nil, err
 			}
 			if types.TruthOf(v) == types.True {
-				del2[ri] = true
-			}
-		}
-		if len(del2) == 0 {
-			return &Result{Kind: ResultCount, Affected: 0}, nil
-		}
-		for ri, row := range t.Rows {
-			if del2[ri] {
-				removed = append(removed, row)
-				affected++
-			} else {
-				kept = append(kept, row)
+				dels = append(dels, ri)
 			}
 		}
 	} else {
-		for _, row := range t.Rows {
-			d := true
-			if del.Where != nil {
-				sc.vals = row
-				v, err := e.evalExpr(del.Where, sc)
-				if err != nil {
-					return nil, err
-				}
-				d = types.TruthOf(v) == types.True
-			}
-			if d {
-				removed = append(removed, row)
-				affected++
-			} else {
-				kept = append(kept, row)
-			}
-		}
-	}
-	if affected > 0 {
-		t.Rows = kept
-		t.rowsShared = false
-		t.touchBase()
-		tname := t.Name
-		e.logUndoTable(tname, func(dst *state, toSnap bool) {
-			t, ok := dst.tables[tname]
-			if !ok {
-				return
-			}
-			// When the table is untouched since the delete (every kept row
-			// still in place), restore the original row list — exact order
-			// and all. Otherwise other sessions' statements interleaved:
-			// re-append the removed rows instead, so a stale row list
-			// cannot erase their committed changes. A snapshot clone gets
-			// a fresh backing array: oldRows aliases the live table's
-			// storage, which a later live rollback would hand back to the
-			// (mutable) live plane.
-			untouched := len(t.Rows) == len(kept)
-			if untouched {
-				for i := range kept {
-					if !sameRow(t.Rows[i], kept[i]) {
-						untouched = false
-						break
+		for lo, n := 0, t.rows.len(); lo < n; {
+			rows := t.rows.chunk(lo, n)
+			for j, row := range rows {
+				if del.Where != nil {
+					sc.vals = row
+					v, err := e.evalExpr(del.Where, sc)
+					if err != nil {
+						return nil, err
+					}
+					if types.TruthOf(v) != types.True {
+						continue
 					}
 				}
+				dels = append(dels, lo+j)
 			}
-			switch {
-			case untouched && toSnap:
-				t.Rows = append([][]types.Value(nil), oldRows...)
-			case untouched:
-				t.Rows = oldRows
-				// oldRows may alias an array a read view captured before
-				// the delete; mark it shared so the next in-place
-				// replacement copies first.
-				t.rowsShared = true
-			default:
-				t.Rows = append(t.Rows, removed...)
-			}
-			t.touchBase()
-		})
+			lo += len(rows)
+		}
 	}
-	return &Result{Kind: ResultCount, Affected: affected}, nil
+	if len(dels) == 0 {
+		return &Result{Kind: ResultCount, Affected: 0}, nil
+	}
+	removed := make([][]types.Value, len(dels))
+	for i, ri := range dels {
+		removed[i] = t.rows.at(ri)
+	}
+	// Inside a transaction the undo record keeps the pre-delete store: a
+	// clone shares its pages, so retaining it copies no rows, and the
+	// removal below then copies only the pages from the first deleted
+	// row on. Outside one no undo record is kept (logUndo), and the
+	// removal writes the table's own pages in place.
+	var old rowStore
+	if e.inTxn {
+		old = t.rows.clone()
+	}
+	t.rows.remove(dels)
+	t.touchBase()
+	tname := t.Name
+	e.logUndoTable(tname, func(dst *state, _ bool) {
+		t, ok := dst.tables[tname]
+		if !ok {
+			return
+		}
+		// When the table is untouched since the delete (every kept row
+		// still in place), re-install the pre-delete store — exact order
+		// and all; it owns no page, so the next write copies what it
+		// touches. Otherwise other sessions' statements interleaved:
+		// re-append the removed rows instead, so a stale row list cannot
+		// erase their committed changes.
+		if keptIntact(&t.rows, &old, removed) {
+			t.rows = old.clone()
+		} else {
+			for _, r := range removed {
+				t.rows.push(r)
+			}
+		}
+		t.touchBase()
+	})
+	return &Result{Kind: ResultCount, Affected: int64(len(dels))}, nil
+}
+
+// keptIntact reports whether cur holds exactly old's rows minus removed
+// (a subsequence of old, in order), compared by row identity.
+func keptIntact(cur, old *rowStore, removed [][]types.Value) bool {
+	if cur.len() != old.len()-len(removed) {
+		return false
+	}
+	k, w := 0, 0
+	for lo, n := 0, old.len(); lo < n; {
+		rows := old.chunk(lo, n)
+		for _, row := range rows {
+			if k < len(removed) && sameRow(row, removed[k]) {
+				k++
+				continue
+			}
+			if !sameRow(cur.at(w), row) {
+				return false
+			}
+			w++
+		}
+		lo += len(rows)
+	}
+	return true
+}
+
+// rowPositions maps each stored row's identity to its position.
+func rowPositions(s *rowStore) map[*types.Value]int {
+	pos := make(map[*types.Value]int, s.len())
+	for lo, n := 0, s.len(); lo < n; {
+		rows := s.chunk(lo, n)
+		for j, r := range rows {
+			if len(r) > 0 {
+				pos[&r[0]] = lo + j
+			}
+		}
+		lo += len(rows)
+	}
+	return pos
 }

@@ -208,6 +208,7 @@ type Engine struct {
 	viewReuses  atomic.Uint64
 	matCleans   atomic.Uint64
 	matRewinds  atomic.Uint64
+	pageCopies  atomic.Uint64
 	latchWaits  atomic.Uint64
 	latchWaitNs atomic.Uint64
 
@@ -258,10 +259,13 @@ type state struct {
 type Table struct {
 	Name    string
 	Cols    []Column
-	Rows    [][]types.Value
 	PKCols  []int
 	Uniques [][]int
 	Checks  []ast.Expr
+
+	// rows is the paged row store (rows.go). Guarded by the table latch
+	// or the exclusive engine lock; copies share its pages.
+	rows rowStore
 
 	// latch serializes row mutations of this table: DML acquires the
 	// latches of every table its statement can touch, in sorted name
@@ -288,14 +292,6 @@ type Table struct {
 	// rebuilds. Mutated like mutSeq (table latch or engine write lock).
 	baseSeq atomic.Uint64
 
-	// rowsShared marks that a read view captured the live Rows slice
-	// header (readview.go materialize, clean path). While set, the first
-	// in-place row replacement must install a fresh backing array so the
-	// capture stays a stable committed image; mutations that already
-	// install a fresh slice (delete, insert-undo) just clear it. Guarded
-	// by the table latch or the exclusive engine lock, like Rows itself.
-	rowsShared bool
-
 	// capIC is the index-cache lineage shared by successive clean view
 	// captures of this table: while baseSeq is unchanged (appends only),
 	// each new capture inherits the previous captures' indexes and
@@ -310,14 +306,14 @@ type Table struct {
 	// columns. Positions never move on replacement (baseSeq stays), and
 	// the executor re-reads current rows for every candidate, so an index
 	// is exact while its key columns' versions are unchanged. nil means
-	// all-zero (no column updated yet); guarded like Rows (table latch or
+	// all-zero (no column updated yet); guarded like rows (table latch or
 	// exclusive engine lock), and captured by value into view captures.
 	colVer []uint64
 }
 
 // touch invalidates the table's lazily built indexes after a row
 // mutation. Called under the table latch (or the engine write lock) at
-// every site that changes Rows — including undo application.
+// every site that changes rows — including undo application.
 func (t *Table) touch() { t.mutSeq.Add(1) }
 
 // touchBase additionally invalidates existing row positions (delete and
@@ -626,6 +622,7 @@ func (e *Session) execCreateTable(ct *ast.CreateTable) (*Result, error) {
 		}
 	}
 	t.ic = newIndexCache()
+	t.rows.copies = &e.eng.pageCopies
 	e.eng.st.tables[name] = t
 	e.logUndoCatalog(func(dst *state, _ bool) { delete(dst.tables, name) })
 	e.bumpSchema()
@@ -740,9 +737,13 @@ func (e *Session) execDropTable(dt *ast.DropTable) (*Result, error) {
 	name := up(dt.Name)
 	if t, ok := e.eng.st.tables[name]; ok {
 		delete(e.eng.st.tables, name)
-		// On a snapshot clone the table header is copied: a later live
-		// rollback re-adds (and then mutates) the original, which must
-		// not reach through into a published immutable image.
+		// The dropped table's row store is sealed (it owns no page), so
+		// read-view and snapshot rewinds copy it without writing to it,
+		// and a re-installed table copies every page it shares before
+		// writing. On a snapshot clone the table header is copied: a
+		// later live rollback re-adds (and then mutates) the original,
+		// which must not reach through into a published immutable image.
+		t.rows.seal()
 		e.logUndoCatalog(func(dst *state, toSnap bool) {
 			if toSnap {
 				dst.tables[name] = t.cloneHeader()
@@ -890,7 +891,7 @@ func (e *Engine) TableRowCount(name string) (int, error) {
 		return 0, fmt.Errorf("%w: %s", ErrTableNotFound, name)
 	}
 	e.lockLatch(t)
-	n := len(t.Rows)
+	n := t.rows.len()
 	t.latch.Unlock()
 	return n, nil
 }

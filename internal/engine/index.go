@@ -11,15 +11,16 @@ import (
 // This file implements the lazily built lookup indexes behind the
 // compiled-plan access paths (see compiled.go and internal/engine/plan).
 //
-// The engine stores rows as a plain slice; indexes are a pure cache over
-// it, maintained on demand. Validity is tracked by Table.baseSeq, which
-// counts only the mutations that invalidate existing row positions
-// (update, delete, undo application — Table.touchBase); pure appends
-// leave it unchanged. An index records the baseSeq it was built under
-// and the number of rows it covers: while baseSeq matches, the covered
-// prefix is still exact, so the index extends incrementally over the
-// appended tail instead of rebuilding — insert-heavy tables pay O(new
-// rows), not O(table), per maintenance step. A position-invalidating
+// The engine stores rows in a paged store (rows.go); indexes are a pure
+// cache over row positions, maintained on demand. Validity is tracked by
+// Table.baseSeq, which counts only the mutations that invalidate
+// existing row positions (update, delete, undo application —
+// Table.touchBase); pure appends leave it unchanged. An index records
+// the baseSeq it was built under and the number of rows it covers:
+// while baseSeq matches, the covered prefix is still exact, so the index
+// extends incrementally over the appended tail instead of rebuilding —
+// insert-heavy tables pay O(new rows), not O(table), per maintenance
+// step. A position-invalidating
 // mutation bumps baseSeq and the next probe rebuilds from scratch (one
 // scan, the same cost as the full-scan execution it replaces, so the
 // cache never loses against scanning).
@@ -177,26 +178,30 @@ func (ic *indexCache) eqIndex(t *Table, cols []int) *hashIndex {
 	base := t.baseSeq.Load()
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
+	n := t.rows.len()
 	ix := ic.hash[key]
 	if ix != nil && ix.base == base && colVersMatch(t, cols, ix.colVers) {
 		switch {
-		case ix.n == len(t.Rows):
+		case ix.n == n:
 			// Exact coverage.
-		case ix.n < len(t.Rows):
+		case ix.n < n:
 			// Rows were appended since the index was published. A small
 			// tail is served by a probe-local instance that scans it
 			// linearly — publishing would cost a segment allocation per
 			// insert. Once the tail reaches indexTailMax (or holds a
 			// poisoning value the linear scan cannot honor), extend for
-			// real with a tail segment and merge tiered.
-			if len(t.Rows)-ix.n < indexTailMax && intTail(t.Rows[ix.n:len(t.Rows)], cols) {
-				ix = &hashIndex{
-					base: base, colVers: ix.colVers, n: len(t.Rows), poisoned: ix.poisoned, segs: ix.segs,
-					tail: t.Rows[ix.n:len(t.Rows):len(t.Rows)], tailStart: ix.n, tailCols: cols,
+			// real with a tail segment and merge tiered. A tail within one
+			// page is served without copying.
+			if n-ix.n < indexTailMax {
+				if tail := t.rows.span(ix.n, n); intTail(tail, cols) {
+					ix = &hashIndex{
+						base: base, colVers: ix.colVers, n: n, poisoned: ix.poisoned, segs: ix.segs,
+						tail: tail, tailStart: ix.n, tailCols: cols,
+					}
+					break
 				}
-				break
 			}
-			seg := buildHashSeg(t, cols, ix.n, len(t.Rows))
+			seg := buildHashSeg(t, cols, ix.n, n)
 			segs := append(ix.segs[:len(ix.segs):len(ix.segs)], seg)
 			for len(segs) >= 2 {
 				a, b := segs[len(segs)-2], segs[len(segs)-1]
@@ -205,7 +210,7 @@ func (ic *indexCache) eqIndex(t *Table, cols []int) *hashIndex {
 				}
 				segs = append(segs[:len(segs)-2:len(segs)-2], mergeHashSegs(a, b))
 			}
-			nix := &hashIndex{base: base, colVers: ix.colVers, n: len(t.Rows), segs: segs}
+			nix := &hashIndex{base: base, colVers: ix.colVers, n: n, segs: segs}
 			nix.poisoned = ix.poisoned || seg.poisoned
 			ic.hash[key] = nix
 			ix = nix
@@ -214,15 +219,15 @@ func (ic *indexCache) eqIndex(t *Table, cols []int) *hashIndex {
 			// (an older capture sharing the lineage): serve the segment
 			// prefix ending exactly at its row count, without
 			// republishing — the longer index stays current.
-			ix = hashPrefix(ix, base, len(t.Rows))
+			ix = hashPrefix(ix, base, n)
 		}
 	} else {
 		ix = nil
 	}
 	if ix == nil {
-		seg := buildHashSeg(t, cols, 0, len(t.Rows))
+		seg := buildHashSeg(t, cols, 0, n)
 		ix = &hashIndex{
-			base: base, colVers: colVersOf(t, cols), n: len(t.Rows),
+			base: base, colVers: colVersOf(t, cols), n: n,
 			poisoned: seg.poisoned, segs: []*hashSeg{seg},
 		}
 		ic.hash[key] = ix
@@ -318,25 +323,29 @@ func mergeHashSegs(a, b *hashSeg) *hashSeg {
 func buildHashSeg(t *Table, cols []int, start, end int) *hashSeg {
 	seg := &hashSeg{start: start, end: end, m: make(map[string][]int, end-start)}
 	kb := make([]byte, 0, 8*len(cols))
-build:
-	for ri := start; ri < end; ri++ {
-		row := t.Rows[ri]
-		kb = kb[:0]
-		for _, ci := range cols {
-			v := row[ci]
-			switch v.K {
-			case types.KindInt:
-				kb = binary.BigEndian.AppendUint64(kb, uint64(v.I))
-			case types.KindNull:
-				// NULL keys never satisfy an equality conjunct (the
-				// comparison is Unknown), so the row is simply not indexed.
-				continue build
-			default:
-				seg.poisoned = true
-				break build
+	for lo := start; lo < end; {
+		rows := t.rows.chunk(lo, end)
+	build:
+		for j, row := range rows {
+			kb = kb[:0]
+			for _, ci := range cols {
+				v := row[ci]
+				switch v.K {
+				case types.KindInt:
+					kb = binary.BigEndian.AppendUint64(kb, uint64(v.I))
+				case types.KindNull:
+					// NULL keys never satisfy an equality conjunct (the
+					// comparison is Unknown), so the row is simply not
+					// indexed.
+					continue build
+				default:
+					seg.poisoned = true
+					return seg
+				}
 			}
+			seg.m[string(kb)] = append(seg.m[string(kb)], lo+j)
 		}
-		seg.m[string(kb)] = append(seg.m[string(kb)], ri)
+		lo += len(rows)
 	}
 	return seg
 }
@@ -349,20 +358,23 @@ func (ic *indexCache) rangeIndex(t *Table, col int) *sortedIndex {
 	defer ic.mu.Unlock()
 	base := t.baseSeq.Load()
 	ver := t.colVerOf(col)
+	n := t.rows.len()
 	ix := ic.sorted[col]
 	if ix != nil && ix.base == base && ix.colVer == ver {
 		switch {
-		case ix.n == len(t.Rows):
-		case ix.n < len(t.Rows):
+		case ix.n == n:
+		case ix.n < n:
 			// Small appended tails are served probe-locally, as in eqIndex.
-			if len(t.Rows)-ix.n < indexTailMax && intTail(t.Rows[ix.n:len(t.Rows)], []int{col}) {
-				ix = &sortedIndex{
-					base: base, colVer: ver, n: len(t.Rows), poisoned: ix.poisoned, segs: ix.segs,
-					tail: t.Rows[ix.n:len(t.Rows):len(t.Rows)], tailStart: ix.n, tailCol: col,
+			if n-ix.n < indexTailMax {
+				if tail := t.rows.span(ix.n, n); intTail(tail, []int{col}) {
+					ix = &sortedIndex{
+						base: base, colVer: ver, n: n, poisoned: ix.poisoned, segs: ix.segs,
+						tail: tail, tailStart: ix.n, tailCol: col,
+					}
+					break
 				}
-				break
 			}
-			seg := buildSortedSeg(t, col, ix.n, len(t.Rows))
+			seg := buildSortedSeg(t, col, ix.n, n)
 			segs := append(ix.segs[:len(ix.segs):len(ix.segs)], seg)
 			for len(segs) >= 2 {
 				a, b := segs[len(segs)-2], segs[len(segs)-1]
@@ -371,19 +383,19 @@ func (ic *indexCache) rangeIndex(t *Table, col int) *sortedIndex {
 				}
 				segs = append(segs[:len(segs)-2:len(segs)-2], mergeSortedSegs(a, b))
 			}
-			nix := &sortedIndex{base: base, colVer: ver, n: len(t.Rows), segs: segs}
+			nix := &sortedIndex{base: base, colVer: ver, n: n, segs: segs}
 			nix.poisoned = ix.poisoned || seg.poisoned
 			ic.sorted[col] = nix
 			ix = nix
 		default:
-			ix = sortedPrefix(ix, base, len(t.Rows))
+			ix = sortedPrefix(ix, base, n)
 		}
 	} else {
 		ix = nil
 	}
 	if ix == nil {
-		seg := buildSortedSeg(t, col, 0, len(t.Rows))
-		ix = &sortedIndex{base: base, colVer: ver, n: len(t.Rows), poisoned: seg.poisoned, segs: []*sortedSeg{seg}}
+		seg := buildSortedSeg(t, col, 0, n)
+		ix = &sortedIndex{base: base, colVer: ver, n: n, poisoned: seg.poisoned, segs: []*sortedSeg{seg}}
 		ic.sorted[col] = ix
 	}
 	if ix.poisoned {
@@ -410,18 +422,21 @@ func sortedPrefix(ix *sortedIndex, base uint64, n int) *sortedIndex {
 // buildSortedSeg builds one sorted run over rows [start, end).
 func buildSortedSeg(t *Table, col, start, end int) *sortedSeg {
 	seg := &sortedSeg{start: start, end: end}
-	for ri := start; ri < end; ri++ {
-		v := t.Rows[ri][col]
-		switch v.K {
-		case types.KindInt:
-			seg.keys = append(seg.keys, v.I)
-			seg.pos = append(seg.pos, ri)
-		case types.KindNull:
-			// Range conjuncts on NULL are Unknown: the row cannot match.
-		default:
-			seg.poisoned = true
-			return seg
+	for lo := start; lo < end; {
+		rows := t.rows.chunk(lo, end)
+		for j, row := range rows {
+			switch v := row[col]; v.K {
+			case types.KindInt:
+				seg.keys = append(seg.keys, v.I)
+				seg.pos = append(seg.pos, lo+j)
+			case types.KindNull:
+				// Range conjuncts on NULL are Unknown: the row cannot match.
+			default:
+				seg.poisoned = true
+				return seg
+			}
 		}
+		lo += len(rows)
 	}
 	if len(seg.keys) > 1 {
 		ord := make([]int, len(seg.keys))

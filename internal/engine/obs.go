@@ -58,7 +58,7 @@ func (e *Engine) StatsSnapshot() Stats {
 	st.TableRows = make([]TableRows, 0, len(e.st.tables))
 	for n, t := range e.st.tables {
 		e.lockLatch(t)
-		rows := len(t.Rows)
+		rows := t.rows.len()
 		t.latch.Unlock()
 		st.TableRows = append(st.TableRows, TableRows{Name: n, Rows: rows})
 	}
@@ -72,11 +72,15 @@ func (e *Engine) StatsSnapshot() Stats {
 // often views were rebuilt vs served from cache, how table images were
 // materialized, and how much time writers spent contending on latches.
 type ReadViewStats struct {
-	Builds           uint64
-	Hits             uint64
-	TableReuses      uint64
-	MatCleans        uint64
-	MatRewinds       uint64
+	Builds      uint64
+	Hits        uint64
+	TableReuses uint64
+	MatCleans   uint64
+	MatRewinds  uint64
+	// PageCopies counts row pages copied by copy-on-write: the first
+	// write to a page shared with a read-view capture, snapshot or undo
+	// image (rows.go).
+	PageCopies       uint64
 	LatchWaits       uint64
 	LatchWaitSeconds float64
 }
@@ -89,6 +93,7 @@ func (e *Engine) ReadViewStats() ReadViewStats {
 		TableReuses:      e.viewReuses.Load(),
 		MatCleans:        e.matCleans.Load(),
 		MatRewinds:       e.matRewinds.Load(),
+		PageCopies:       e.pageCopies.Load(),
 		LatchWaits:       e.latchWaits.Load(),
 		LatchWaitSeconds: float64(e.latchWaitNs.Load()) / 1e9,
 	}
@@ -162,9 +167,11 @@ func (e *Engine) MetricsCollector(replica string) obs.Collector {
 		f.Count("divsql_engine_readview_table_reuses_total",
 			"Per-table wrappers carried over between consecutive views.", rv.TableReuses, labels...)
 		f.Count("divsql_engine_readview_mat_clean_total",
-			"Zero-copy table materializations (stable slice capture).", rv.MatCleans, labels...)
+			"Zero-copy table materializations (shared row pages).", rv.MatCleans, labels...)
 		f.Count("divsql_engine_readview_mat_rewind_total",
 			"Table materializations that cloned rows and rewound open transactions.", rv.MatRewinds, labels...)
+		f.Count("divsql_engine_row_page_copies_total",
+			"Row pages copied on first write after a capture, snapshot or undo image shared them.", rv.PageCopies, labels...)
 		f.Count("divsql_engine_latch_waits_total",
 			"Contended table-latch acquisitions.", rv.LatchWaits, labels...)
 		f.Gauge("divsql_engine_latch_wait_seconds_total",

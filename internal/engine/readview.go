@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"divsql/internal/sql/ast"
-	"divsql/internal/sql/types"
 )
 
 // This file implements MVCC read views: per-statement (READ COMMITTED)
@@ -23,18 +22,19 @@ import (
 //     Table DATA is untouched at build time; each table is wrapped in a
 //     viewTable that materializes its committed row image lazily, on
 //     first access through the view.
-//   - Materialization is O(1) in the common case: rows are immutable
-//     once written and every row mutation installs a fresh outer Rows
-//     slice (or appends beyond the captured length), so when the table
-//     has not changed since the view was built and no open transaction
-//     holds uncommitted changes to it, capturing the live Rows slice
-//     header under the table latch yields a stable committed image
-//     without copying a single row.
+//   - Materialization copies no row data in the common case: rows are
+//     immutable once written and the paged row store (rows.go) shares
+//     pages copy-on-write, so when the table has not changed since the
+//     view was built and no open transaction holds uncommitted changes
+//     to it, copying the live row store's header under the table latch
+//     yields a stable committed image. The live table's next write
+//     copies the page directory and the one page it touches.
 //   - Only when an open transaction holds uncommitted changes to the
 //     table (or the table changed since the view was built) does
-//     materialization clone the row-header slice and rewind the other
+//     materialization clone the row store and rewind the other
 //     sessions' table-scoped undo records on the clone — the same
-//     records that implement ROLLBACK.
+//     records that implement ROLLBACK. The rewinds copy only the pages
+//     they touch.
 //
 // Write serialization is narrowed from the engine-wide lock to
 // per-table latches: DML runs under the engine READ lock plus the
@@ -148,9 +148,9 @@ func (vt *viewTable) materialize(e *Engine) *Table {
 	e.lockLatch(t)
 	if !vt.dirty && t.mutSeq.Load() == vt.mutSeqAtBuild {
 		// Unchanged since build and no uncommitted changes: capture the
-		// live slice headers. Writers never mutate Rows below the
-		// captured length in place (see dml.go's copy-on-write
-		// contract), so the capture is a stable committed image.
+		// live row store. The capture shares every page, and the live
+		// table copies a shared page before writing it (rows.go), so the
+		// capture is a stable committed image.
 		mat := captureTable(t)
 		// Captures of one table share an index-cache lineage while its
 		// baseSeq is unchanged (appends only): each new capture inherits
@@ -164,11 +164,10 @@ func (vt *viewTable) materialize(e *Engine) *Table {
 		}
 		vt.mat = mat
 		vt.clean = true
-		t.rowsShared = true
 		e.matCleans.Add(1)
 	} else {
 		// The table moved on (or carried uncommitted changes at build
-		// time): clone the row headers and rewind every open
+		// time): clone the row store and rewind every open
 		// transaction's table-scoped undo records, yielding the
 		// committed image as of now. Per-statement staleness checks
 		// make the slightly newer image harmless (READ COMMITTED
@@ -180,16 +179,16 @@ func (vt *viewTable) materialize(e *Engine) *Table {
 	return vt.mat
 }
 
-// captureTable snapshots a table's slice headers without copying rows.
-// Caller holds the table latch; the capture stays valid because every
-// later row mutation installs a fresh Rows slice or appends beyond the
-// captured length, and Uniques is copied because index-creation undo
-// shifts it in place.
+// captureTable snapshots a table's headers without copying row data.
+// Caller holds the table latch. The capture clones the row store,
+// which takes page ownership away from the live table: its next write
+// copies the page it touches, so the capture stays a stable image.
+// Uniques is copied because index-creation undo shifts it in place.
 func captureTable(t *Table) *Table {
 	return &Table{
 		Name:    t.Name,
 		Cols:    t.Cols,
-		Rows:    t.Rows,
+		rows:    t.rows.clone(),
 		PKCols:  t.PKCols,
 		Uniques: append([][]int(nil), t.Uniques...),
 		Checks:  t.Checks,
@@ -205,7 +204,6 @@ func captureTable(t *Table) *Table {
 // engine read lock and the table's latch.
 func (e *Engine) committedTable(t *Table, except *Session) *Table {
 	ct := captureTable(t)
-	ct.Rows = append([][]types.Value(nil), t.Rows...)
 	dst := &state{tables: map[string]*Table{t.Name: ct}}
 	for s := range e.sessions {
 		if s == except {

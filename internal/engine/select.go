@@ -572,7 +572,7 @@ func (e *Session) tableRefRelation(tr ast.TableRef, outer *scope, skipViewDistin
 		for i, c := range t.Cols {
 			rel.cols[i] = scopeCol{qual: qual, name: c.Name}
 		}
-		rel.rows = append(rel.rows, t.Rows...)
+		rel.rows = t.rows.appendTo(rel.rows)
 		return rel, nil
 	}
 	if v, ok := e.lookupView(name); ok {

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"sort"
-
-	"divsql/internal/sql/types"
-)
+import "sort"
 
 // This file implements the copy-on-write consistent-snapshot subsystem.
 //
@@ -19,11 +15,14 @@ import (
 // Snapshot removes the wait. It produces a consistent image of the
 // COMMITTED state at the instant of the call, with no quiescence:
 //
-//  1. Clone the catalog headers copy-on-write under the read lock. Maps,
-//     Table headers and row-slice headers are copied; the row storage
-//     ([]types.Value) is shared, because rows are immutable once written
-//     (UPDATE replaces the row slice, it never mutates one in place).
-//     The clone is O(catalog + row count), not O(data).
+//  1. Clone the catalog headers copy-on-write under the read lock. Maps
+//     and Table headers are copied; row storage is shared page by page
+//     (rows.go): the clone's row store shares the live table's directory
+//     and pages, and whichever side writes first copies the one page it
+//     touches. Rows are immutable once written (UPDATE stores a
+//     replacement row slice, it never mutates one in place). The clone is
+//     O(catalog), not O(rows); the first write after it pays one page
+//     directory copy (one pointer per page) and one page.
 //  2. Rewind every open transaction on the clone: undo records are
 //     functions over an abstract *state, so the same records that
 //     implement ROLLBACK on the live plane peel the uncommitted changes
@@ -32,10 +31,11 @@ import (
 //     rewind lands exactly on the transaction's own changes.
 //
 // The result is immutable: nothing in the engine retains a reference to
-// the clone's headers, and the shared row storage is never written in
-// place. Restore installs a snapshot by cloning headers again, so one
-// State can be restored into any number of engines (and the donor keeps
-// executing throughout).
+// the clone's headers, and its row stores are sealed before Snapshot
+// returns (they own no page), so copying them never writes to them.
+// Restore installs a snapshot by cloning headers again, so one State can
+// be restored into any number of engines — concurrently — and the donor
+// keeps executing throughout.
 
 // State is an immutable, consistent image of an engine's committed
 // state, produced by Snapshot and consumed by Restore/RestoreScoped.
@@ -51,10 +51,12 @@ type State struct {
 	CommitSeq uint64
 }
 
-// cloneHeader copies a table's mutable headers — the struct, the outer
-// Rows and Uniques slices — while sharing the immutable storage: column
-// definitions, check expressions, inner keyset slices and the row value
-// slices themselves.
+// cloneHeader copies a table's mutable headers — the struct, the row
+// store header and the Uniques slice — while sharing the immutable
+// storage: column definitions, check expressions, inner keyset slices,
+// row pages (copy-on-write) and the row value slices themselves. O(1) in
+// the row count. The caller holds the table's latch unless its row store
+// is sealed (a snapshot's or a dropped table's).
 func (t *Table) cloneHeader() *Table {
 	// Field-by-field: Table embeds a latch and an atomic mutation
 	// counter, neither of which may be copied. The clone starts with a
@@ -63,7 +65,7 @@ func (t *Table) cloneHeader() *Table {
 	ct := &Table{
 		Name:    t.Name,
 		Cols:    t.Cols,
-		Rows:    append([][]types.Value(nil), t.Rows...),
+		rows:    t.rows.clone(),
 		PKCols:  t.PKCols,
 		Uniques: append([][]int(nil), t.Uniques...),
 		Checks:  t.Checks,
@@ -136,6 +138,9 @@ func (e *Engine) Snapshot() *State {
 		}
 		s.txMu.Unlock()
 	}
+	for _, t := range cl.tables {
+		t.rows.seal()
+	}
 	return &State{
 		Tables:    cl.tables,
 		Views:     cl.views,
@@ -160,6 +165,9 @@ func (e *Engine) Restore(st *State) {
 	defer e.mu.Unlock()
 	src := state{tables: st.Tables, views: st.Views, indexs: st.Indexs, seqs: st.Seqs}
 	e.st = *src.cloneForSnapshot()
+	for _, t := range e.st.tables {
+		t.rows.copies = &e.pageCopies
+	}
 	e.discardAllTxnsLocked()
 	e.bumpSchemaLocked()
 }
@@ -200,7 +208,9 @@ func (e *Engine) RestoreScoped(st *State, keep func(name string) bool) {
 	}
 	for n, t := range st.Tables {
 		if keep(n) {
-			e.st.tables[n] = t.cloneHeader()
+			ct := t.cloneHeader()
+			ct.rows.copies = &e.pageCopies
+			e.st.tables[n] = ct
 		}
 	}
 	for n, v := range st.Views {

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"divsql/internal/sql/types"
 )
 
 // liveTable returns the engine-resident table by name.
@@ -141,7 +143,7 @@ func TestProbeVerdictOnTableWithDuplicates(t *testing.T) {
 	sexec(t, s, "CREATE TABLE T (K INT PRIMARY KEY, V INT)")
 	sexec(t, s, "INSERT INTO T VALUES (1, 10), (2, 20)")
 	tbl := liveTable(t, e, "T")
-	tbl.Rows = append(tbl.Rows, append(tbl.Rows[0][:0:0], tbl.Rows[0]...))
+	tbl.rows.push(append([]types.Value(nil), tbl.rows.at(0)...))
 	tbl.touch()
 
 	wantConstraint(t, s, "UPDATE T SET V = 11 WHERE K = 1")        // probe
@@ -218,7 +220,7 @@ func TestPoisonedKeyIndexFallsBackToScan(t *testing.T) {
 
 	// A planted duplicate of key 2: the key-stable update of it must
 	// fail through the scan.
-	tbl.Rows = append(tbl.Rows, append(tbl.Rows[2][:0:0], tbl.Rows[2]...))
+	tbl.rows.push(append([]types.Value(nil), tbl.rows.at(2)...))
 	tbl.touch()
 	wantConstraint(t, s, "UPDATE P SET V = 5 WHERE ID = 2")
 	got := rowStrings(sexec(t, s, "SELECT ID, V FROM P"))

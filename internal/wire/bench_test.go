@@ -2,7 +2,6 @@ package wire
 
 import (
 	"testing"
-	"time"
 
 	"divsql/internal/dialect"
 	"divsql/internal/server"
@@ -10,8 +9,9 @@ import (
 
 // The pipelining benchmarks quantify what the BATCH envelope buys: a
 // per-round-trip client pays one socket round trip per statement, a
-// pipelined client pays one per burst. The guard test below holds the
-// ratio above 2x so a regression in the batch path fails CI.
+// pipelined client pays one per burst. The guard test holding the ratio
+// above 2x lives in perfgate_test.go: it compares wall-clock times, so
+// it runs only in the serial perf-gate job (make perfgate).
 
 func benchWireClient(tb testing.TB) *Client {
 	tb.Helper()
@@ -70,46 +70,5 @@ func BenchmarkWirePipelined(b *testing.B) {
 			}
 		}
 		done += n
-	}
-}
-
-func TestBatchPipeliningSpeedup(t *testing.T) {
-	// Acceptance bar: a pipelined burst must beat the same statements
-	// executed as individual round trips by more than 2x. Timing tests
-	// are noisy, so take the best of three attempts before judging.
-	if raceEnabled {
-		t.Skip("race instrumentation inflates per-statement cost, drowning the round-trip saving this guard measures")
-	}
-	const n = 400
-	sqls := make([]string, n)
-	for i := range sqls {
-		sqls[i] = "SELECT 1 AS X"
-	}
-	best := 0.0
-	for attempt := 0; attempt < 3 && best <= 2.0; attempt++ {
-		c := benchWireClient(t)
-		start := time.Now()
-		for _, sql := range sqls {
-			if _, err := c.Exec(sql); err != nil {
-				t.Fatal(err)
-			}
-		}
-		serial := time.Since(start)
-		start = time.Now()
-		_, errs := c.ExecBatch(sqls)
-		pipelined := time.Since(start)
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		ratio := float64(serial) / float64(pipelined)
-		t.Logf("attempt %d: serial %v, pipelined %v, %.1fx", attempt, serial, pipelined, ratio)
-		if ratio > best {
-			best = ratio
-		}
-	}
-	if best <= 2.0 {
-		t.Errorf("batch pipelining speedup %.2fx, want > 2x", best)
 	}
 }
